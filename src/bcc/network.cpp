@@ -1,17 +1,28 @@
 #include "bcc/network.h"
 
 #include <algorithm>
-#include <cassert>
+#include <stdexcept>
 
 #include "common/encoding.h"
 
 namespace bcclap::bcc {
 
+// Sorted, deduplicated neighbour lists of a BC communication graph in
+// compressed form: v's neighbours are ids[offsets[v] .. offsets[v + 1]).
+// The adjacency is symmetric, so it serves as both send and receive side.
+struct Topology {
+  std::vector<std::size_t> offsets;
+  std::vector<std::size_t> ids;
+};
+
 namespace {
 
-// Below this many nodes the parallel fan-out costs more than it saves;
-// everything runs inline (the pool does the same cut-off by grain).
-constexpr std::size_t kParallelGrainNodes = 16;
+void check_bandwidth(std::int64_t bandwidth_bits) {
+  if (bandwidth_bits < 1) {
+    throw std::invalid_argument("Network: bandwidth must be >= 1 bit, got " +
+                                std::to_string(bandwidth_bits));
+  }
+}
 
 }  // namespace
 
@@ -28,101 +39,87 @@ Network::Network(Model model, const graph::Graph& g,
                  std::int64_t bandwidth_bits, const common::Context& ctx)
     : model_(model), n_(g.num_vertices()), bandwidth_(bandwidth_bits),
       ctx_(ctx) {
-  assert(bandwidth_ >= 1);
-  if (model_ == Model::kBroadcastCongest) {
-    neighbours_.resize(n_);
-    for (std::size_t v = 0; v < n_; ++v) {
-      for (graph::EdgeId e : g.incident(v)) {
-        neighbours_[v].push_back(g.other_endpoint(e, v));
+  check_bandwidth(bandwidth_);
+  if (model_ != Model::kBroadcastCongest) return;
+  auto topo = std::make_shared<Topology>();
+  topo->offsets.reserve(n_ + 1);
+  topo->offsets.push_back(0);
+  for (std::size_t v = 0; v < n_; ++v) {
+    // Sorted by neighbour, so parallel edges are adjacent and collapse.
+    for (const graph::Neighbour& nb : g.neighbours(v)) {
+      if (topo->ids.size() == topo->offsets.back() ||
+          topo->ids.back() != nb.vertex) {
+        topo->ids.push_back(nb.vertex);
       }
-      std::sort(neighbours_[v].begin(), neighbours_[v].end());
-      neighbours_[v].erase(
-          std::unique(neighbours_[v].begin(), neighbours_[v].end()),
-          neighbours_[v].end());
     }
+    topo->offsets.push_back(topo->ids.size());
   }
+  topology_ = std::move(topo);
 }
 
 Network::Network(Model model, std::size_t n, std::int64_t bandwidth_bits,
                  const common::Context& ctx)
     : model_(model), n_(n), bandwidth_(bandwidth_bits), ctx_(ctx) {
-  assert(model == Model::kBroadcastCongestedClique);
-  (void)model;
-  assert(bandwidth_ >= 1);
+  if (model_ != Model::kBroadcastCongestedClique) {
+    throw std::invalid_argument(
+        "Network: a Broadcast CONGEST network needs a communication graph");
+  }
+  check_bandwidth(bandwidth_);
 }
 
-std::vector<std::vector<ReceivedMessage>> Network::exchange(
-    const std::vector<std::vector<Message>>& outboxes,
-    const std::string& label) {
-  assert(outboxes.size() == n_);
+Delivery::Inbox Delivery::operator[](std::size_t v) const {
+  if (topology_) {
+    const std::size_t* ids = topology_->ids.data();
+    return {*this, ids + topology_->offsets[v], ids + topology_->offsets[v + 1],
+            kNoSkip};
+  }
+  return {*this, active_.data(), active_.data() + active_.size(), v};
+}
 
+std::size_t Delivery::Inbox::size() const {
+  std::size_t count = 0;
+  for (const std::size_t* s = first_; s != last_; ++s) {
+    if (*s != skip_) count += offsets_[*s + 1] - offsets_[*s];
+  }
+  return count;
+}
+
+Delivery Network::exchange(const std::vector<std::vector<Message>>& outboxes,
+                           const std::string& label) {
+  if (outboxes.size() != n_) {
+    throw std::invalid_argument(
+        "Network::exchange: " + std::to_string(outboxes.size()) +
+        " outboxes for a " + std::to_string(n_) + "-node network");
+  }
+  Delivery d;
+  d.topology_ = topology_;
+  d.offsets_.reserve(n_ + 1);
   // Cost: nodes broadcast in parallel; each node serializes its own
-  // messages, one B-bit broadcast per round. Max-over-nodes is
-  // order-independent, so the charge is identical at any thread count.
+  // messages, one B-bit broadcast per round, so the superstep costs the
+  // max over nodes — independent of the order nodes are visited in.
   std::int64_t rounds = 0;
-  ctx_.parallel_reduce_chunks(
-      0, n_, kParallelGrainNodes, std::int64_t{0},
-      [&](std::size_t lo, std::size_t hi, std::int64_t& local) {
-        for (std::size_t v = lo; v < hi; ++v) {
-          std::int64_t node_rounds = 0;
-          for (const Message& msg : outboxes[v]) {
-            node_rounds += enc::rounds_for_bits(msg.total_bits(), bandwidth_);
-          }
-          local = std::max(local, node_rounds);
-        }
-      },
-      [&](std::int64_t& local) { rounds = std::max(rounds, local); });
+  for (std::size_t s = 0; s < n_; ++s) {
+    std::int64_t node_rounds = 0;
+    for (const Message& msg : outboxes[s]) {
+      node_rounds += enc::rounds_for_bits(msg.total_bits(), bandwidth_);
+    }
+    rounds = std::max(rounds, node_rounds);
+    d.offsets_.push_back(d.offsets_.back() + outboxes[s].size());
+    if (!topology_ && !outboxes[s].empty()) d.active_.push_back(s);
+  }
   accountant_.charge(label, rounds);
 
-  // Delivery: each recipient's inbox depends only on the (read-only)
-  // outboxes, so recipients assemble concurrently. Senders are walked in
-  // ascending id order per recipient, which reproduces exactly the
-  // sender-ordered delivery of the sequential engine.
-  std::vector<std::vector<ReceivedMessage>> inboxes(n_);
-  const bool clique = model_ == Model::kBroadcastCongestedClique;
-  // Active senders (ascending) and the total message count: with sparse
-  // traffic the per-recipient work is O(active), not O(n).
-  std::vector<std::size_t> active;
-  std::size_t total_msgs = 0;
-  for (std::size_t s = 0; s < n_; ++s) {
-    if (!outboxes[s].empty()) {
-      active.push_back(s);
-      total_msgs += outboxes[s].size();
-    }
+  // Delivery: every message is copied once, into the sender-ordered arena
+  // the inbox views walk.
+  d.arena_.reserve(d.offsets_.back());
+  for (const auto& outbox : outboxes) {
+    d.arena_.insert(d.arena_.end(), outbox.begin(), outbox.end());
   }
-  ctx_.parallel_for_chunks(
-      0, n_, kParallelGrainNodes, [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t recv = lo; recv < hi; ++recv) {
-          auto& inbox = inboxes[recv];
-          const auto deliver_from = [&](std::size_t sender) {
-            for (const Message& msg : outboxes[sender]) {
-              inbox.push_back({sender, msg});
-            }
-          };
-          if (clique) {
-            inbox.reserve(total_msgs - outboxes[recv].size());
-            for (std::size_t s : active) {
-              if (s != recv) deliver_from(s);
-            }
-          } else {
-            // BC adjacency is symmetric: recv's senders are its neighbours,
-            // already sorted ascending.
-            std::size_t count = 0;
-            for (std::size_t s : neighbours_[recv]) {
-              count += outboxes[s].size();
-            }
-            inbox.reserve(count);
-            for (std::size_t s : neighbours_[recv]) {
-              if (!outboxes[s].empty()) deliver_from(s);
-            }
-          }
-        }
-      });
-  return inboxes;
+  return d;
 }
 
-std::vector<std::vector<ReceivedMessage>> Network::run_superstep(
-    const ComputeFn& compute, const std::string& label) {
+Delivery Network::run_superstep(const ComputeFn& compute,
+                                const std::string& label) {
   std::vector<std::vector<Message>> outboxes(n_);
   // Grain 1: per-node compute is the heavyweight part of a superstep, so
   // every node is its own unit of work.

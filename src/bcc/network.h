@@ -17,23 +17,37 @@
 // bounded number of messages per phase, which is precisely the max-over-
 // nodes cost the simulator charges.
 //
-// Execution is thread-parallel: per-node outbox computation
-// (run_superstep), round costing, and per-recipient inbox assembly all fan
-// out across the workers of the network's execution context
-// (common/context.h — the view of the bcclap::Runtime the network was
-// built under; the deprecated context-less constructors fall back to the
-// process-default Runtime). Delivery stays deterministic — inboxes[v] is
-// ordered by sender id regardless of thread count, and the max-over-nodes
-// round charge is order-independent — so a 1-worker and an N-worker
-// configuration of the same Runtime produce byte-identical traffic and
-// equal round accounting (enforced by tests/test_network_determinism.cpp
-// and, across concurrent Runtimes, tests/test_runtime.cpp). Downstream
-// layers (spanner, sparsifier) reach the same context through context(),
-// so one Runtime's pipeline never touches another's pool.
+// Delivery is zero-copy, mirroring the broadcast constraint itself: a
+// superstep copies every outbox message exactly once, into one
+// sender-ordered arena owned by the returned Delivery. Node v's inbox is a
+// view over that arena that walks v's senders in ascending id order (the
+// active senders other than v in BCC mode, v's sorted neighbours in BC
+// mode) and yields (sender, const Message&) pairs. Lifetime rule: an inbox
+// view, its iterators and the Message references it yields are valid while
+// the Delivery that produced them lives. The Delivery owns its arena and
+// shares the network's topology, so it may outlive both the outboxes
+// passed to exchange() and the Network itself.
+//
+// Execution is thread-parallel where there is work to fan out: per-node
+// outbox computation (run_superstep) runs across the workers of the
+// network's execution context (common/context.h — the view of the
+// bcclap::Runtime the network was built under), and recipients may read
+// their inbox views concurrently. Delivery is deterministic — inboxes are
+// ordered by sender id and the max-over-nodes round charge is
+// order-independent — so a 1-worker and an N-worker configuration of the
+// same Runtime produce byte-identical traffic and equal round accounting
+// (enforced by tests/test_network_determinism.cpp and, across concurrent
+// Runtimes, tests/test_runtime.cpp; tests/test_golden_bytes.cpp pins the
+// bytes themselves). Downstream layers (spanner,
+// sparsifier) reach the same context through context(), so one Runtime's
+// pipeline never touches another's pool.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <iterator>
+#include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -49,13 +63,157 @@ enum class Model {
   kBroadcastCongestedClique, // deliver to everyone
 };
 
+// A BC communication graph's sorted neighbour lists (bcc/network.cpp).
+struct Topology;
+
+// One delivered message: its sender and a reference into the arena of
+// the Delivery it came from.
+struct Received {
+  std::size_t sender;
+  const Message& message;
+};
+
+// The traffic of one superstep: every message once, in sender order, plus
+// the per-recipient inbox views over it.
+class Delivery {
+ public:
+  class Inbox {
+   public:
+    class iterator {
+     public:
+      using iterator_category = std::input_iterator_tag;
+      using value_type = Received;
+      using difference_type = std::ptrdiff_t;
+      using pointer = void;
+      using reference = Received;
+
+      iterator() = default;
+      Received operator*() const { return {*sender_, arena_[msg_]}; }
+      iterator& operator++() {
+        if (++msg_ == msg_end_) {
+          ++sender_;
+          settle();
+        }
+        return *this;
+      }
+      friend bool operator==(const iterator& a, const iterator& b) {
+        return a.sender_ == b.sender_ && a.msg_ == b.msg_;
+      }
+      friend bool operator!=(const iterator& a, const iterator& b) {
+        return !(a == b);
+      }
+
+     private:
+      friend class Inbox;
+      iterator(const Inbox& in, const std::size_t* sender)
+          : arena_(in.arena_), offsets_(in.offsets_), sender_(sender),
+            last_(in.last_), skip_(in.skip_) {
+        settle();
+      }
+      // Advances to the first sender at or after sender_ that is not the
+      // recipient itself and has something to say.
+      void settle() {
+        for (; sender_ != last_; ++sender_) {
+          const std::size_t s = *sender_;
+          if (s == skip_ || offsets_[s] == offsets_[s + 1]) continue;
+          msg_ = offsets_[s];
+          msg_end_ = offsets_[s + 1];
+          return;
+        }
+        msg_ = msg_end_ = 0;
+      }
+
+      const Message* arena_ = nullptr;
+      const std::size_t* offsets_ = nullptr;
+      const std::size_t* sender_ = nullptr;
+      const std::size_t* last_ = nullptr;
+      std::size_t skip_ = 0;
+      std::size_t msg_ = 0;
+      std::size_t msg_end_ = 0;
+    };
+
+    iterator begin() const { return {*this, first_}; }
+    iterator end() const { return {*this, last_}; }
+    // Number of messages delivered to this recipient.
+    std::size_t size() const;
+    bool empty() const { return begin() == end(); }
+
+   private:
+    friend class Delivery;
+    Inbox(const Delivery& d, const std::size_t* first, const std::size_t* last,
+          std::size_t skip)
+        : arena_(d.arena_.data()), offsets_(d.offsets_.data()), first_(first),
+          last_(last), skip_(skip) {}
+
+    // Views into the Delivery's heap buffers (stable across a move of the
+    // Delivery object).
+    const Message* arena_;
+    const std::size_t* offsets_;
+    const std::size_t* first_;  // candidate senders, ascending
+    const std::size_t* last_;
+    std::size_t skip_;  // the recipient in BCC mode, else kNoSkip
+  };
+
+  // Iteration over the n inboxes in node order: delivery[0], delivery[1],
+  // ...
+  class iterator {
+   public:
+    using iterator_category = std::input_iterator_tag;
+    using value_type = Inbox;
+    using difference_type = std::ptrdiff_t;
+    using pointer = void;
+    using reference = Inbox;
+
+    Inbox operator*() const { return (*d_)[v_]; }
+    iterator& operator++() {
+      ++v_;
+      return *this;
+    }
+    friend bool operator==(const iterator& a, const iterator& b) {
+      return a.v_ == b.v_;
+    }
+    friend bool operator!=(const iterator& a, const iterator& b) {
+      return !(a == b);
+    }
+
+   private:
+    friend class Delivery;
+    iterator(const Delivery* d, std::size_t v) : d_(d), v_(v) {}
+    const Delivery* d_;
+    std::size_t v_;
+  };
+
+  // Number of nodes (inboxes).
+  std::size_t size() const { return offsets_.size() - 1; }
+  Inbox operator[](std::size_t v) const;
+  iterator begin() const { return {this, 0}; }
+  iterator end() const { return {this, size()}; }
+
+ private:
+  friend class Network;
+  static constexpr std::size_t kNoSkip =
+      std::numeric_limits<std::size_t>::max();
+
+  // arena_[offsets_[s] .. offsets_[s + 1]): sender s's messages in outbox
+  // order.
+  std::vector<Message> arena_;
+  std::vector<std::size_t> offsets_{0};
+  // BCC mode: the senders with a non-empty outbox, ascending.
+  std::vector<std::size_t> active_;
+  // BC mode: the communication graph; null in BCC mode.
+  std::shared_ptr<const Topology> topology_;
+};
+
 class Network {
  public:
   // BC network over the topology of `g` (the usual setting: the input graph
   // is also the communication graph), executing on `ctx`'s worker pool.
+  // Throws std::invalid_argument if bandwidth_bits < 1.
   Network(Model model, const graph::Graph& g, std::int64_t bandwidth_bits,
           const common::Context& ctx);
-  // BCC network over n nodes (no topology needed).
+  // BCC network over n nodes (no topology needed). Throws
+  // std::invalid_argument for Model::kBroadcastCongest, which needs a
+  // communication graph, or if bandwidth_bits < 1.
   Network(Model model, std::size_t n, std::int64_t bandwidth_bits,
           const common::Context& ctx);
 
@@ -68,11 +226,11 @@ class Network {
   const common::Context& context() const { return ctx_; }
 
   // Runs one superstep: outboxes[v] are the messages node v broadcasts
-  // (possibly empty). Returns inboxes: inboxes[v] = messages delivered to v,
-  // ordered by sender id. Charges rounds to `label`.
-  std::vector<std::vector<ReceivedMessage>> exchange(
-      const std::vector<std::vector<Message>>& outboxes,
-      const std::string& label);
+  // (possibly empty). Returns the delivery: delivery[v] is the inbox view
+  // of v, ordered by sender id. Charges rounds to `label`. Throws
+  // std::invalid_argument unless outboxes.size() == num_nodes().
+  Delivery exchange(const std::vector<std::vector<Message>>& outboxes,
+                    const std::string& label);
 
   // Per-node local computation for run_superstep: node v's compute returns
   // the messages v broadcasts this superstep. Must only write state owned
@@ -84,8 +242,7 @@ class Network {
   // Superstep driver: fans compute(v) out across the worker pool for every
   // node, then exchanges the resulting outboxes. Callers hand the engine
   // their per-node compute instead of looping over nodes themselves.
-  std::vector<std::vector<ReceivedMessage>> run_superstep(
-      const ComputeFn& compute, const std::string& label);
+  Delivery run_superstep(const ComputeFn& compute, const std::string& label);
 
   // Charges rounds without message traffic (used for sub-protocols whose
   // cost is known analytically, e.g. the <= k-1 rounds of propagating a
@@ -109,9 +266,8 @@ class Network {
   std::size_t n_;
   std::int64_t bandwidth_;
   common::Context ctx_;
-  // neighbours_[v]: sorted neighbour ids (BC mode only). Symmetric, so it
-  // serves as both send and receive adjacency.
-  std::vector<std::vector<std::size_t>> neighbours_;
+  // BC mode only: the communication graph, shared with every Delivery.
+  std::shared_ptr<const Topology> topology_;
   RoundAccountant accountant_;
 };
 

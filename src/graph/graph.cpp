@@ -4,6 +4,7 @@
 #include <cassert>
 #include <limits>
 #include <queue>
+#include <stdexcept>
 #include <utility>
 
 namespace bcclap::graph {
@@ -13,9 +14,25 @@ EdgeId Graph::add_edge(VertexId u, VertexId v, double weight) {
   assert(u < num_vertices() && v < num_vertices());
   if (u > v) std::swap(u, v);
   const EdgeId id = edges_.size();
+  constexpr std::size_t kMaxId = std::numeric_limits<std::uint32_t>::max();
+  if (v > kMaxId || id > kMaxId) {
+    throw std::length_error("Graph::add_edge: ids past 2^32 do not fit the "
+                            "neighbour index");
+  }
   edges_.push_back({u, v, weight});
   adjacency_[u].push_back(id);
   adjacency_[v].push_back(id);
+  // The new id is the largest, so it goes after every existing entry for
+  // the same neighbour: the first entry per neighbour is the lowest id.
+  const auto insert = [id](std::vector<Neighbour>& index, VertexId w) {
+    const auto at = std::upper_bound(
+        index.begin(), index.end(), w,
+        [](VertexId x, const Neighbour& nb) { return x < nb.vertex; });
+    index.insert(at, {static_cast<std::uint32_t>(w),
+                      static_cast<std::uint32_t>(id)});
+  };
+  insert(by_neighbour_[u], v);
+  insert(by_neighbour_[v], u);
   return id;
 }
 
@@ -29,10 +46,12 @@ std::optional<EdgeId> Graph::find_edge(VertexId u, VertexId v) const {
   if (u >= num_vertices() || v >= num_vertices()) return std::nullopt;
   const VertexId probe = degree(u) <= degree(v) ? u : v;
   const VertexId target = probe == u ? v : u;
-  for (EdgeId e : adjacency_[probe]) {
-    if (other_endpoint(e, probe) == target) return e;
-  }
-  return std::nullopt;
+  const auto& index = by_neighbour_[probe];
+  const auto it = std::lower_bound(
+      index.begin(), index.end(), target,
+      [](const Neighbour& nb, VertexId x) { return nb.vertex < x; });
+  if (it == index.end() || it->vertex != target) return std::nullopt;
+  return it->edge;
 }
 
 double Graph::total_weight() const {

@@ -5,7 +5,7 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
-#include <map>
+#include <utility>
 
 #include "common/encoding.h"
 #include "common/context.h"
@@ -39,6 +39,26 @@ struct PlannedGroup {
   std::size_t cluster = kNone;
   std::vector<Candidate> cands;
 };
+
+// Candidates tagged with their target cluster, in incidence order.
+using TaggedCandidates = std::vector<std::pair<std::size_t, Candidate>>;
+
+// One group per target cluster, ascending cluster id (the broadcast
+// order); the stable sort keeps each group's candidates in incidence
+// order.
+std::vector<PlannedGroup> group_by_cluster(TaggedCandidates& tagged) {
+  std::stable_sort(
+      tagged.begin(), tagged.end(),
+      [](const auto& a, const auto& b) { return a.first < b.first; });
+  std::vector<PlannedGroup> groups;
+  for (const auto& [x, c] : tagged) {
+    if (groups.empty() || groups.back().cluster != x) {
+      groups.push_back({x, {}});
+    }
+    groups.back().cands.push_back(c);
+  }
+  return groups;
+}
 
 // Each superstep of the decider side runs as three engine phases:
 //
@@ -101,7 +121,7 @@ class SpannerRun {
     for (std::size_t v = 0; v < n_; ++v) cluster_[v] = v;
     marked_.assign(n_, false);
     w_threshold_.assign(n_, kInf);
-    w_seen_.assign(n_, {});
+    w_seen_.assign(m_, {kInf, kInf});
   }
 
   ProbabilisticSpannerResult run() {
@@ -375,14 +395,14 @@ class SpannerRun {
         "spanner/step2");
     net_.context().parallel_for(0, n_, [&](std::size_t u) {
       for (const auto& rm : inboxes[u]) {
-        const Decoded d = decode_step2(rm.message);
-        // Every neighbour learns W_v (needed for step-3 eligibility).
-        // Receiver u owns w_seen_[u]; no other node touches it.
-        w_seen_[u][rm.sender] = d.has ? d.w : kInf;
-        // Deduction applies only if u was in v's candidate set: u in a
-        // marked cluster and the edge not already settled as deleted.
         const auto eid = g_.find_edge(u, rm.sender);
         if (!eid) continue;
+        const Decoded d = decode_step2(rm.message);
+        // Every neighbour learns W_v (needed for step-3 eligibility).
+        // Receiver u owns its side of the slot; no other node touches it.
+        w_seen_[*eid][side_of(*eid, u)] = d.has ? d.w : kInf;
+        // Deduction applies only if u was in v's candidate set: u in a
+        // marked cluster and the edge not already settled as deleted.
         if (!in_marked_cluster(u)) continue;
         if (!avail_[*eid]) continue;
         if (belief_[*eid][side_of(*eid, u)] == EdgeDecision::kDeleted)
@@ -401,7 +421,7 @@ class SpannerRun {
     net_.context().parallel_for(0, n_, [&](std::size_t v) {
       if (!in_unmarked_cluster(v)) return;
       const std::size_t own = cluster_[v];
-      std::map<std::size_t, std::vector<Candidate>> by_cluster;
+      TaggedCandidates tagged;
       for (graph::EdgeId e : g_.incident(v)) {
         if (!edge_usable(e)) continue;
         if (weight(e) > w_threshold_[v]) continue;
@@ -410,11 +430,9 @@ class SpannerRun {
         const std::size_t x = cluster_[u];
         if (x == own) continue;
         if (lower_ids ? (x > own) : (x < own)) continue;
-        by_cluster[x].push_back({u, e, weight(e)});
+        tagged.push_back({x, {u, e, weight(e)}});
       }
-      for (auto& [x, cs] : by_cluster) {
-        groups[v].push_back({x, std::move(cs)});
-      }
+      groups[v] = group_by_cluster(tagged);
     });
 
     // Phase B: Connect per group in node, then cluster order.
@@ -436,9 +454,7 @@ class SpannerRun {
         const auto eid = g_.find_edge(u, rm.sender);
         if (!eid || !avail_[*eid]) continue;
         // Eligibility: w(u,v) <= W_v, learned from v's step-2 broadcast.
-        const auto it = w_seen_[u].find(rm.sender);
-        const double wv = it == w_seen_[u].end() ? kInf : it->second;
-        if (weight(*eid) > wv) continue;
+        if (weight(*eid) > w_seen_[*eid][side_of(*eid, u)]) continue;
         if (belief_[*eid][side_of(*eid, u)] == EdgeDecision::kDeleted)
           continue;
         deduce(u, rm.sender, *eid, d);
@@ -466,7 +482,7 @@ class SpannerRun {
         const bool clustered = cluster_[v] != kNone;
         if (sub == 1 && clustered) return;
         if (sub != 1 && !clustered) return;
-        std::map<std::size_t, std::vector<Candidate>> by_cluster;
+        TaggedCandidates tagged;
         for (graph::EdgeId e : g_.incident(v)) {
           if (!edge_usable(e)) continue;
           const graph::VertexId u = g_.other_endpoint(e, v);
@@ -477,11 +493,9 @@ class SpannerRun {
             if (sub == 2 && x > cluster_[v]) continue;
             if (sub == 3 && x < cluster_[v]) continue;
           }
-          by_cluster[x].push_back({u, e, weight(e)});
+          tagged.push_back({x, {u, e, weight(e)}});
         }
-        for (auto& [x, cs] : by_cluster) {
-          groups[v].push_back({x, std::move(cs)});
-        }
+        groups[v] = group_by_cluster(tagged);
       });
 
       // Phase B.
@@ -552,9 +566,11 @@ class SpannerRun {
   std::vector<bool> marked_;          // indexed by center id
   std::vector<std::size_t> pending_join_;
   std::vector<double> w_threshold_;  // W_v^(i), decider view
-  // w_seen_[u][v]: W_v observed by u from v's step-2 broadcast. Owned (and
-  // only ever written) by receiver u.
-  std::vector<std::map<std::size_t, double>> w_seen_;
+  // w_seen_[e][side]: W_v observed by the endpoint on `side` of e from the
+  // other endpoint v's step-2 broadcast (e = find_edge(u, v), the edge
+  // every read goes through). Each side is written only by its own
+  // endpoint.
+  std::vector<std::array<double, 2>> w_seen_;
   std::vector<std::size_t> center_population_cache_;
 
   ProbabilisticSpannerResult result_;

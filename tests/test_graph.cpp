@@ -2,10 +2,27 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <optional>
+#include <utility>
+#include <vector>
+
+#include "common/rng.h"
 
 namespace bcclap::graph {
 namespace {
+
+// Reference lookup by linear scan: the first incident edge of u
+// (insertion order, so the lowest id) whose other endpoint is v.
+std::optional<EdgeId> find_edge_by_scan(const Graph& g, VertexId u,
+                                        VertexId v) {
+  if (u >= g.num_vertices() || v >= g.num_vertices()) return std::nullopt;
+  for (EdgeId e : g.incident(u)) {
+    if (g.other_endpoint(e, u) == v) return e;
+  }
+  return std::nullopt;
+}
 
 TEST(Graph, AddEdgeNormalizesOrder) {
   Graph g(3);
@@ -23,6 +40,66 @@ TEST(Graph, FindEdgeAndOtherEndpoint) {
   EXPECT_FALSE(g.find_edge(1, 2).has_value());
   EXPECT_EQ(g.other_endpoint(e, 0), 3u);
   EXPECT_EQ(g.other_endpoint(e, 3), 0u);
+}
+
+// Differential check of the sorted-index lookup against the scan on random
+// multigraphs: parallel edges (lowest id wins), both argument orders,
+// absent pairs, u == v and out-of-range ids. Also pins incident() to
+// insertion order, which the index must not disturb.
+TEST(Graph, FindEdgeMatchesLinearScanOnRandomMultigraphs) {
+  rng::Stream stream(4242);
+  for (int trial = 0; trial < 40; ++trial) {
+    const std::size_t n = 1 + stream.next_below(12);
+    Graph g(n);
+    if (n >= 2) {
+      const std::size_t m = stream.next_below(3 * n);
+      for (std::size_t i = 0; i < m; ++i) {
+        const VertexId u = stream.next_below(n);
+        VertexId v = stream.next_below(n - 1);
+        if (v >= u) ++v;  // no self-loops
+        g.add_edge(u, v, 1.0 + static_cast<double>(i));
+        // Every third edge gets an immediate parallel twin.
+        if (i % 3 == 0) g.add_edge(v, u, 0.5);
+      }
+    }
+    for (VertexId v = 0; v < n; ++v) {
+      const auto& inc = g.incident(v);
+      EXPECT_TRUE(std::is_sorted(inc.begin(), inc.end())) << trial;
+      // The sorted index holds the same edges, ordered by (neighbour, id).
+      std::vector<EdgeId> ids;
+      std::vector<std::pair<VertexId, EdgeId>> keys;
+      for (const Neighbour& nb : g.neighbours(v)) {
+        EXPECT_EQ(g.other_endpoint(nb.edge, v), nb.vertex);
+        ids.push_back(nb.edge);
+        keys.emplace_back(nb.vertex, nb.edge);
+      }
+      EXPECT_TRUE(std::is_sorted(keys.begin(), keys.end()))
+          << "trial " << trial << " vertex " << v;
+      std::sort(ids.begin(), ids.end());
+      EXPECT_EQ(ids, inc) << trial;
+    }
+    for (VertexId u = 0; u <= n + 1; ++u) {
+      for (VertexId v = 0; v <= n + 1; ++v) {
+        EXPECT_EQ(g.find_edge(u, v), find_edge_by_scan(g, u, v))
+            << "trial " << trial << " pair (" << u << ", " << v << ")";
+      }
+    }
+  }
+}
+
+TEST(Graph, FindEdgeReturnsLowestParallelId) {
+  Graph g(5);
+  g.add_edge(0, 1, 1.0);
+  const EdgeId first = g.add_edge(3, 2, 1.0);
+  g.add_edge(2, 4, 1.0);
+  g.add_edge(2, 3, 2.0);
+  g.add_edge(3, 2, 3.0);
+  EXPECT_EQ(g.find_edge(2, 3), first);
+  EXPECT_EQ(g.find_edge(3, 2), first);
+  EXPECT_FALSE(g.find_edge(2, 2).has_value());
+  EXPECT_FALSE(g.find_edge(0, 4).has_value());
+  EXPECT_FALSE(g.find_edge(0, 5).has_value());
+  EXPECT_FALSE(g.find_edge(9, 1).has_value());
 }
 
 TEST(Graph, DegreesAndWeights) {

@@ -21,8 +21,8 @@
 namespace bcclap {
 namespace {
 
+using bcc::Delivery;
 using bcc::Message;
-using bcc::ReceivedMessage;
 
 // Runs fn with a context drawn from a dedicated `threads`-worker Runtime —
 // the scoped replacement for the retired process-wide thread override.
@@ -44,20 +44,22 @@ bool same_message(const Message& a, const Message& b) {
   return true;
 }
 
-::testing::AssertionResult same_inboxes(
-    const std::vector<std::vector<ReceivedMessage>>& a,
-    const std::vector<std::vector<ReceivedMessage>>& b) {
+::testing::AssertionResult same_inboxes(const Delivery& a,
+                                        const Delivery& b) {
   if (a.size() != b.size())
     return ::testing::AssertionFailure() << "node count differs";
   for (std::size_t v = 0; v < a.size(); ++v) {
     if (a[v].size() != b[v].size())
       return ::testing::AssertionFailure()
              << "inbox size differs at node " << v;
-    for (std::size_t i = 0; i < a[v].size(); ++i) {
-      if (a[v][i].sender != b[v][i].sender)
+    // Equal sizes, so the two views run out together.
+    auto ia = a[v].begin();
+    auto ib = b[v].begin();
+    for (std::size_t i = 0; ia != a[v].end(); ++ia, ++ib, ++i) {
+      if ((*ia).sender != (*ib).sender)
         return ::testing::AssertionFailure()
                << "sender order differs at node " << v << " slot " << i;
-      if (!same_message(a[v][i].message, b[v][i].message))
+      if (!same_message((*ia).message, (*ib).message))
         return ::testing::AssertionFailure()
                << "message bytes differ at node " << v << " slot " << i;
     }
@@ -79,7 +81,7 @@ std::vector<std::vector<Message>> make_outboxes(std::size_t n) {
 }
 
 struct ExchangeRun {
-  std::vector<std::vector<ReceivedMessage>> inboxes;
+  Delivery inboxes;
   std::int64_t total;
   std::map<std::string, std::int64_t> breakdown;
 };
